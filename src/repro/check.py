@@ -146,20 +146,9 @@ class InvariantChecker:
         if line_addr is not None:
             self._svc_line(system, line_addr)
             return
-        directory = getattr(system, "directory", None)
-        if directory is not None:
-            # RealityCheck-style differential audit: the fast path (the
-            # incremental directory) is re-derived from the slow path
-            # (a full array scan) before any check relies on it.
-            try:
-                directory.audit(system.caches)
-            except ProtocolError as exc:
-                self._fail("directory-agreement", str(exc))
-            addresses = directory.addresses()
-        else:
-            addresses = sorted(
-                {addr for cache in system.caches for addr, _line in cache.lines()}
-            )
+        addresses = sorted(
+            {addr for cache in system.caches for addr, _line in cache.lines()}
+        )
         for addr in addresses:
             self._svc_line(system, addr)
 

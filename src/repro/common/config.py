@@ -171,16 +171,11 @@ class SVCConfig:
     mshr_combining: int = 4
     writeback_buffer_entries: int = 8
     check_invariants: bool = False
-    #: Maintain the line-granular version directory (repro.svc.directory)
-    #: so snoops resolve in O(holders) instead of scanning every cache.
-    #: Off = the seed's brute-force scans; behaviour must be identical
-    #: either way (enforced by repro.harness.differential).
-    use_directory: bool = True
     #: Route the hot VCL snoop/supply/snarf/repair path through the
     #: structure-of-arrays kernel (repro.svc.fastpath). Off = the
     #: per-line object model alone, kept as the slow reference
     #: implementation; behaviour must be identical either way
-    #: (enforced by repro.harness.differential, fastpath dimension).
+    #: (enforced by repro.harness.differential).
     use_fastpath: bool = True
 
     def __post_init__(self) -> None:

@@ -1,18 +1,15 @@
-"""Differential oracle for the SVC performance fast paths.
+"""Differential oracle for the SVC performance fast path.
 
-Two pure-speed mechanisms sit on the hot VCL/snoop/commit path and must
-never change *observable* behaviour:
-
-* the line-granular :class:`repro.svc.directory.VersionDirectory`
-  (``SVCConfig.use_directory``), which makes snoop resolution
-  O(holders) instead of O(caches x ways), and
-* the structure-of-arrays :class:`repro.svc.fastpath.FastpathKernel`
-  (``SVCConfig.use_fastpath``), which supplies copy-free residency
-  checks, stamp-compare snarf acceptance and fused VOL repair.
+One pure-speed mechanism sits on the hot VCL/snoop/commit path and must
+never change *observable* behaviour: the structure-of-arrays
+:class:`repro.svc.fastpath.FastpathKernel` (``SVCConfig.use_fastpath``),
+which supplies copy-free residency checks, stamp-compare snarf
+acceptance and fused VOL repair.
 
 This module enforces that the hard way: run the same seeded workload
 twice on the same design tier — fast path on (the default) and off
-(the seed's per-line object walks) — and demand byte-identical
+(the per-line object walks of the reference model) — and demand
+byte-identical
 
 * protocol event streams (every bus transaction, squash, commit, VOL
   repair, in order, with identical payloads),
@@ -30,7 +27,6 @@ Used by the hypothesis property test
 design tiers with fault injection on, and runnable standalone::
 
     PYTHONPATH=src python -m repro.harness.differential --seeds 10 --faults
-    PYTHONPATH=src python -m repro.harness.differential --dimension fastpath --faults
 """
 
 from __future__ import annotations
@@ -50,12 +46,6 @@ from repro.workloads.generator import WorkloadSpec, generate_tasks
 
 #: Every design tier of the paper's section-3 progression.
 TIERS: Tuple[str, ...] = tuple(DESIGNS)
-
-
-#: Config-flag dimensions the differential oracle can exercise.
-DIMENSIONS: Tuple[str, ...] = ("directory", "fastpath")
-
-_DIMENSION_FLAGS = {"directory": "use_directory", "fastpath": "use_fastpath"}
 
 
 class DifferentialMismatch(AssertionError):
@@ -152,8 +142,7 @@ def diff_observations(
     return mismatches
 
 
-def _compare_flag_modes(
-    dimension: str,
+def compare_fastpath_modes(
     tier: str,
     tasks: List[TaskProgram],
     seed: int = 0,
@@ -161,34 +150,6 @@ def _compare_flag_modes(
     squash_probability: float = 0.0,
     fault_plan: Optional[FaultPlan] = None,
     base_config: Optional[SVCConfig] = None,
-) -> List[str]:
-    flag = _DIMENSION_FLAGS[dimension]
-    config = design_config(tier, base_config or SVCConfig.paper_32kb())
-    kwargs = dict(
-        seed=seed,
-        schedule=schedule,
-        squash_probability=squash_probability,
-        fault_plan=fault_plan,
-    )
-    on = observe_run(replace(config, **{flag: True}), tasks, **kwargs)
-    off = observe_run(replace(config, **{flag: False}), tasks, **kwargs)
-    return diff_observations(on, off, what=dimension)
-
-
-def compare_directory_modes(
-    tier: str,
-    tasks: List[TaskProgram],
-    **kwargs,
-) -> List[str]:
-    """Run one tier with the version directory on and off; return
-    human-readable mismatches (empty = ok)."""
-    return _compare_flag_modes("directory", tier, tasks, **kwargs)
-
-
-def compare_fastpath_modes(
-    tier: str,
-    tasks: List[TaskProgram],
-    **kwargs,
 ) -> List[str]:
     """Run one tier with the structure-of-arrays fastpath kernel on and
     off; return human-readable mismatches (empty = ok).
@@ -200,7 +161,16 @@ def compare_fastpath_modes(
     observables across all tiers, faults and chaos schedules is the
     kernel's correctness proof.
     """
-    return _compare_flag_modes("fastpath", tier, tasks, **kwargs)
+    config = design_config(tier, base_config or SVCConfig.paper_32kb())
+    kwargs = dict(
+        seed=seed,
+        schedule=schedule,
+        squash_probability=squash_probability,
+        fault_plan=fault_plan,
+    )
+    on = observe_run(replace(config, use_fastpath=True), tasks, **kwargs)
+    off = observe_run(replace(config, use_fastpath=False), tasks, **kwargs)
+    return diff_observations(on, off, what="fastpath")
 
 
 def compare_telemetry_modes(
@@ -268,14 +238,9 @@ def check_tier(
     seed: int,
     with_faults: bool = False,
     schedule: str = "random",
-    dimension: str = "directory",
 ) -> None:
-    """Raise :class:`DifferentialMismatch` if ``dimension`` (one of
-    :data:`DIMENSIONS`) changes any observable behaviour on one tier."""
-    if dimension not in _DIMENSION_FLAGS:
-        raise ValueError(
-            f"unknown dimension {dimension!r}; expected one of {DIMENSIONS}"
-        )
+    """Raise :class:`DifferentialMismatch` if the fastpath kernel
+    changes any observable behaviour on one tier."""
     tasks = differential_workload(seed)
     # The EC design assumes no squashes (paper section 3.4).
     allow_squashes = tier != "ec"
@@ -286,8 +251,7 @@ def check_tier(
         fault_plan = random_fault_plan(
             seed, len(tasks), 12, allow_squashes=allow_squashes
         )
-    mismatches = _compare_flag_modes(
-        dimension,
+    mismatches = compare_fastpath_modes(
         tier,
         tasks,
         seed=seed,
@@ -297,7 +261,7 @@ def check_tier(
     )
     if mismatches:
         raise DifferentialMismatch(
-            f"tier {tier!r}, seed {seed}: {dimension} fast path changed "
+            f"tier {tier!r}, seed {seed}: fastpath kernel changed "
             "observable behaviour:\n  " + "\n  ".join(mismatches)
         )
 
@@ -306,7 +270,7 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="Differential check: SVC fast paths on vs off."
+        description="Differential check: SVC fastpath kernel on vs off."
     )
     parser.add_argument("--seeds", type=int, default=5, help="seeds per tier")
     parser.add_argument(
@@ -315,22 +279,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--tiers", default=",".join(TIERS), help="comma-separated tier subset"
     )
-    parser.add_argument(
-        "--dimension",
-        default="directory",
-        choices=DIMENSIONS + ("all",),
-        help="which fast-path flag to flip (default: directory)",
-    )
     args = parser.parse_args(argv)
     tiers = tuple(t for t in args.tiers.split(",") if t)
-    dimensions = DIMENSIONS if args.dimension == "all" else (args.dimension,)
-    for dimension in dimensions:
-        for tier in tiers:
-            for seed in range(args.seeds):
-                check_tier(
-                    tier, seed, with_faults=args.faults, dimension=dimension
-                )
-            print(f"{dimension}/{tier}: {args.seeds} seeds identical")
+    for tier in tiers:
+        for seed in range(args.seeds):
+            check_tier(tier, seed, with_faults=args.faults)
+        print(f"fastpath/{tier}: {args.seeds} seeds identical")
     return 0
 
 

@@ -48,9 +48,6 @@ class SVCCache:
         #: Fault injection (repro.faults): when set, replacement picks an
         #: adversarial victim from the legal candidates instead of LRU.
         self.victim_bias_rng = None
-        #: Version directory (repro.svc.directory) notified at every
-        #: residency change; None when the system runs brute-force snoops.
-        self.directory = None
         #: Persistent columnar engine (repro.svc.fastpath) whose cached
         #: (entries, VOL) columns must be invalidated whenever this cache
         #: changes anything VOL reconstruction depends on: residency,
@@ -225,8 +222,6 @@ class SVCCache:
         self.array.insert(line_addr, line)
         if not line.committed:
             self.active_lines.add(line_addr)
-        if self.directory is not None:
-            self.directory.on_install(self.cache_id, line_addr, line)
         if self.engine is not None:
             self.engine.invalidate(line_addr)
 
@@ -234,8 +229,6 @@ class SVCCache:
         """Remove a line (invalidation, purge or cast-out)."""
         self.active_lines.discard(line_addr)
         line = self.array.remove(line_addr)
-        if self.directory is not None:
-            self.directory.on_drop(self.cache_id, line_addr)
         if self.engine is not None:
             self.engine.invalidate(line_addr)
         return line
@@ -281,12 +274,8 @@ class SVCCache:
 
     def flash_invalidate_all(self) -> None:
         """Base-design commit/squash epilogue: drop every line."""
-        if self.directory is not None or self.engine is not None:
-            addrs = [addr for addr, _ in self.array.lines()]
-            if self.directory is not None:
-                self.directory.on_clear(self.cache_id, addrs)
-            if self.engine is not None:
-                self.engine.invalidate_many(addrs)
+        if self.engine is not None:
+            self.engine.invalidate_many([addr for addr, _ in self.array.lines()])
         self.array.clear()
         self.active_lines.clear()
 
@@ -315,8 +304,6 @@ class SVCCache:
                 line.exclusive = False
             else:
                 self.array.remove(line_addr)
-                if self.directory is not None:
-                    self.directory.on_drop(self.cache_id, line_addr)
                 dropped.append(line_addr)
         self.active_lines.clear()
         self.current_task = None

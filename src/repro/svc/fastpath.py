@@ -18,12 +18,11 @@ where the object model changes anything the columns depend on:
   (a passive line silently turning active).
 
 :class:`repro.svc.cache.SVCCache` calls :meth:`invalidate` /
-:meth:`invalidate_many` from those points, mirroring how the version
-directory is maintained. Everything *else* the protocol does to a line —
-L/S/valid mask updates, byte writes, content stamps, X/T/A bits, pointer
-repair — leaves VOL membership and order untouched, so the snapshot
-stays valid and the next transaction on the line pays **zero** snoops
-and zero ``build_vol`` calls. The ``SVCLine`` objects remain the source
+:meth:`invalidate_many` from those points. Everything *else* the
+protocol does to a line — L/S/valid mask updates, byte writes, content
+stamps, X/T/A bits, pointer repair — leaves VOL membership and order
+untouched, so the snapshot stays valid and the next transaction on the
+line pays **zero** snoops and zero ``build_vol`` calls. The ``SVCLine`` objects remain the source
 of truth for per-line *bits* (the snapshot holds references, not
 copies), which is what makes the narrow invalidation set sufficient:
 only membership, the C bit, committed ``version_seq`` order and the
@@ -48,12 +47,12 @@ Invariants
    and by the conformance corpus pinning default-configuration event
    streams.
 2. **Snapshot freshness.** A cached ``(entries, vol)`` snapshot is
-   bit-equal to what a fresh directory snoop plus ``build_vol`` would
+   bit-equal to what a fresh snoop of every cache plus ``build_vol`` would
    produce, at every moment it is served. :meth:`audit` re-derives
    every cached snapshot from the materialized ``SVCLine`` state and
    raises on the first divergence; :meth:`repro.svc.system.SVCSystem.
    verify` runs it (so ``--verify`` harness runs cross-check the
-   columns the same way they cross-check the directory and rank maps).
+   columns the same way they cross-check the rank maps).
 3. **Stamps name exact data states.** The stamp-compare snarf accept is
    sound because a content stamp is allocated globally (one per store,
    :meth:`repro.svc.system.SVCSystem.next_content_seq`) and written
@@ -123,9 +122,8 @@ class FastpathKernel:
         #: the audit tests; never consulted by protocol logic).
         self.snap_hits = 0
         self.snap_builds = 0
-        # Register for incremental maintenance, exactly like the
-        # version directory: caches notify on every residency or
-        # activation change.
+        # Register for incremental maintenance: caches notify on every
+        # residency or activation change.
         for cache in self.system.caches:
             cache.engine = self
 
@@ -157,17 +155,8 @@ class FastpathKernel:
         if snap is not None:
             self.snap_hits += 1
             return snap
-        system = self.system
-        directory = system.directory
-        if directory is not None:
-            entries = directory.entries(line_addr)
-        else:
-            entries = {}
-            for cache in system.caches:
-                line = cache.line_for(line_addr)
-                if line is not None:
-                    entries[cache.cache_id] = line
-        vol = build_vol(entries, system._active_ranks)
+        entries = self.vcl._entries(line_addr)
+        vol = build_vol(entries, self.system._active_ranks)
         snap = (entries, vol)
         self._snaps[line_addr] = snap
         self.snap_builds += 1
@@ -184,14 +173,10 @@ class FastpathKernel:
         let a snoop resolve against yesterday's ordering, so any
         divergence is a protocol violation, not a cache miss.
         """
-        system = self.system
-        ranks = system._active_ranks
+        ranks = self.system._active_ranks
+        snoop = self.vcl._entries
         for line_addr, (entries, vol) in self._snaps.items():
-            actual: Dict[int, SVCLine] = {}
-            for cache in system.caches:
-                line = cache.line_for(line_addr)
-                if line is not None:
-                    actual[cache.cache_id] = line
+            actual = snoop(line_addr)
             if list(entries) != sorted(actual):
                 raise ProtocolError(
                     f"fastpath column desync for {line_addr:#x}: cached "
@@ -446,14 +431,6 @@ class FastpathKernel:
 
     def is_sole_holder(self, line_addr: int, requestor: int) -> bool:
         """``set(holders) == {requestor}`` without snapshotting holders."""
-        directory = self.system.directory
-        if directory is not None:
-            holders = directory.holder_map(line_addr)
-            return (
-                holders is not None
-                and len(holders) == 1
-                and requestor in holders
-            )
         found_self = False
         for cache in self.system.caches:
             if cache.line_for(line_addr) is None:
@@ -465,15 +442,6 @@ class FastpathKernel:
 
     def others_all_invalid(self, line_addr: int, requestor: int) -> bool:
         """No cache but the requestor holds any valid data for the line."""
-        directory = self.system.directory
-        if directory is not None:
-            holders = directory.holder_map(line_addr)
-            if holders is None:
-                return True
-            for cid, line in holders.items():
-                if cid != requestor and line.valid_mask != 0:
-                    return False
-            return True
         for cache in self.system.caches:
             if cache.cache_id == requestor:
                 continue

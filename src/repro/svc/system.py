@@ -27,7 +27,6 @@ from repro.common.events import EventLog, ProtocolEvent
 from repro.common.stats import StatsRegistry
 from repro.mem.main_memory import MainMemory
 from repro.svc.cache import ProbeOutcome, SVCCache
-from repro.svc.directory import VersionDirectory
 from repro.svc.line import LineState, SVCLine
 from repro.svc.vcl import VersionControlLogic
 from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN, wired
@@ -47,16 +46,6 @@ class AccessResult:
 
 class SVCSystem:
     """A complete SVC memory system (Figure 5)."""
-
-    #: Stats a ``ReplacementStall``-raising load/store probe bumps before
-    #: the raise. The timing simulator's stall fast-forward replicates
-    #: these when it skips a retry whose outcome cannot have changed
-    #: (same commit/squash token, same ``bus.free_at``) — keep in sync
-    #: with the pre-raise accounting in :meth:`load` / :meth:`store`.
-    STALL_PROBE_COUNTERS = {
-        "load": ("loads", "load_misses"),
-        "store": ("stores", "store_misses"),
-    }
 
     def __init__(
         self,
@@ -91,12 +80,6 @@ class SVCSystem:
             SVCCache(i, self.geometry, self.features)
             for i in range(self.config.n_caches)
         ]
-        #: Line-granular residency index consulted by the VCL instead of
-        #: scanning every cache; None runs the seed's brute-force snoops.
-        self.directory = VersionDirectory() if self.config.use_directory else None
-        if self.directory is not None:
-            for cache in self.caches:
-                cache.directory = self.directory
         self.vcl = VersionControlLogic(self)
         self._committed_through = -1
         self._content_counter = 0
@@ -433,16 +416,12 @@ class SVCSystem:
 
         # The accelerator structures are audited against the ground truth
         # (the cache arrays themselves) before anything trusts them: a
-        # desynced directory or rank map is itself a protocol violation.
+        # desynced rank map or column cache is itself a protocol violation.
         self._audit_task_maps()
-        if self.directory is not None:
-            self.directory.audit(self.caches)
         if self.vcl._fast is not None:
             # Persistent columnar engine: every cached (entries, VOL)
             # snapshot must match a fresh reconstruction from the arrays.
             self.vcl._fast.audit()
-        # Address collection stays brute-force on purpose: a line smuggled
-        # into an array behind the directory's back must still be audited.
         addresses = set()
         for cache in self.caches:
             for line_addr, _line in cache.lines():

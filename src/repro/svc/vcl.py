@@ -140,13 +140,9 @@ class VersionControlLogic:
     # -- snapshot helpers ---------------------------------------------------
 
     def _entries(self, line_addr: int) -> Dict[int, SVCLine]:
-        """Holder snapshot for one line: O(holders) via the version
-        directory, else the seed's brute-force snoop of every cache.
-        Both paths return a fresh dict in ascending cache-id order, so
-        they are observably interchangeable (callers mutate the result)."""
-        directory = self.system.directory
-        if directory is not None:
-            return directory.entries(line_addr)
+        """Holder snapshot for one line: the paper's broadcast snoop of
+        every cache. Returns a fresh dict in ascending cache-id order
+        (callers mutate the result)."""
         entries = {}
         for cache in self.system.caches:
             line = cache.line_for(line_addr)

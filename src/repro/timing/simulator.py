@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.config import ProcessorConfig
 from repro.common.errors import ReplacementStall, SimulationError
@@ -151,27 +151,9 @@ class TimingSimulator:
         self._stall_streak: Dict[int, int] = {
             pu: 0 for pu in range(self.processor.n_pus)
         }
-        #: Stall fast-forward state (plain loop only). A stalled PU polls
-        #: every ``_STALL_RETRY`` cycles, but its probe outcome can only
-        #: change after something frees capacity: a commit or squash
-        #: (counted by ``_progress_token``) or another PU's bus
-        #: transaction (which advances ``SnoopingBus.free_at``). While
-        #: both watermarks are unchanged since the last *real* failed
-        #: probe, retries are skipped without re-entering the protocol —
-        #: the retry accounting (retry count, streak, watchdog, and the
-        #: stat the probe itself would bump) is replicated exactly, so
-        #: reports, stats and event streams are byte-identical.
+        #: Shared bus, resolved once (None for systems without one); the
+        #: injected bus-saturation fault reserves it.
         self._bus = getattr(system, "bus", None)
-        self._progress_token = 0
-        self._stall_probe: Dict[int, Tuple[int, int]] = {}
-        self._stall_exc: Dict[int, ReplacementStall] = {}
-        #: Stat keys a deterministically-failing retry probe bumps
-        #: before raising (``{"load": (...), "store": (...)}`` — the SVC
-        #: counts the attempt as a load/store miss, the ARB as a
-        #: load/store plus ``arb_full_stalls``); the skip path mirrors
-        #: them so accounting stays exact. Systems that do not declare
-        #: the contract never fast-forward — every retry re-probes.
-        self._stall_probe_stats = getattr(system, "STALL_PROBE_COUNTERS", None)
         #: Telemetry, resolved once at wiring time from the system (the
         #: system already applied :func:`repro.telemetry.wired`), so the
         #: memory-event hot path pays a single ``is not None`` check.
@@ -278,7 +260,6 @@ class TimingSimulator:
     def _restart_squashed(self, squashed_ranks: List[int], now: int) -> None:
         """Re-dispatch squashed (but still assigned) tasks on their PUs."""
         restart = now + self.processor.timing.squash_restart_cycles
-        self._progress_token += 1  # squashes free capacity: re-probe stalls
         for rank in sorted(squashed_ranks):
             pu = self._rank_to_pu[rank]
             state = self._states[pu]
@@ -328,18 +309,16 @@ class TimingSimulator:
                 # full for this attempt; retry like a real saturation.
                 retry = now + _STALL_RETRY
                 state.defer_mem(retry)
-                self._schedule(pu, retry)
+                self._schedule_fast(pu, retry, state)
                 return
             if (
                 plan.bus_saturation
-                and hasattr(self.system, "bus")
+                and self._bus is not None
                 and self._bus_rng.random() < plan.bus_saturation
             ):
                 # Injected contention: a competing agent occupies the bus
                 # first, so this PU's transaction queues behind it.
-                self.system.bus.reserve(
-                    now, "fault", None, self.system.amap.line_address(op.addr)
-                )
+                self._bus.reserve(now, "fault", None, self._line_address(op.addr))
         telemetry = self._telemetry
         span = None
         rewired = False
@@ -406,8 +385,9 @@ class TimingSimulator:
                 self._stall_streak[pu] = 0
             self._executed_memory_ops += 1
             if not result.hit:
-                line_addr = self.system.amap.line_address(op.addr)
-                mshrs.allocate(line_addr, state.op_index, result.end_cycle)
+                mshrs.allocate(
+                    self._line_address(op.addr), state.op_index, result.end_cycle
+                )
             state.complete_mem(now, end)
             squashed = result.squashed_ranks
             if squashed:
@@ -453,7 +433,6 @@ class TimingSimulator:
             end = self.system.commit_head(pu, now=commit_start)
             self._commit_cycles += max(0, end - commit_start)
             self._committed[head] = True
-            self._progress_token += 1  # commits free capacity: re-probe stalls
             self._last_commit_end = max(self._last_commit_end, end)
             self._states[pu] = None
             del self._rank_to_pu[head]
@@ -474,150 +453,6 @@ class TimingSimulator:
                     self._restart_squashed(squashed, end)
             self._dispatch(pu, end)
             now = end
-
-    def _run_loop_plain(self, limit: int) -> None:
-        """The event loop fused with :meth:`_handle_mem_plain` for the
-        common configuration (no telemetry, no fault injector): event
-        dispatch, the memory handler, and rescheduling run as one code
-        path with the hot state in locals. Behaviour is identical to
-        the generic loop in :meth:`_run_impl`; the shared event
-        sequence counter stays on ``self`` so pushes from the cold
-        paths (dispatch, squash restart, commit waves) interleave in
-        exactly the same FIFO order."""
-        events = self._events
-        states = self._states
-        mshr_files = self._mshrs
-        stall_streak = self._stall_streak
-        stall_probe = self._stall_probe
-        done_at = self._done_at
-        bus = self._bus
-        stats_add = self.system.stats.add
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        sys_load = self.system.load
-        sys_store = self.system.store
-        line_address = self._line_address
-        LOAD = OpKind.LOAD
-        executed = 0
-        guard = 0
-        try:
-            while events:
-                guard += 1
-                if guard > limit:
-                    raise SimulationError(
-                        "timing simulation exceeded event budget"
-                    )
-                now, _seq, kind, pu, epoch = heappop(events)
-                state = states[pu]
-                if state is None or state.epoch != epoch:
-                    continue  # stale event from a squashed attempt
-                if kind == "mem":
-                    op = state.program.ops[state.op_index]
-                    mshrs = mshr_files[pu]
-                    if mshrs._entries:
-                        mshrs.pop_ready(now)
-                        if len(mshrs._entries) >= mshrs.n_entries:
-                            retry = max(mshrs.earliest_ready() or now, now + 1)
-                            state.defer_mem(retry)
-                            self._schedule_fast(pu, retry, state)
-                            continue
-                    if stall_streak[pu]:
-                        # Stall fast-forward: while no commit, squash, or
-                        # bus transaction has happened since the last real
-                        # failed probe, the probe would deterministically
-                        # raise again — skip it and replicate its exact
-                        # accounting instead.
-                        probe = stall_probe.get(pu)
-                        if probe is not None and probe == (
-                            self._progress_token,
-                            bus.free_at if bus is not None else 0,
-                        ):
-                            self._stall_retries += 1
-                            streak = stall_streak[pu] + 1
-                            stall_streak[pu] = streak
-                            if streak > _WATCHDOG_STALL_STREAK:
-                                raise SimulationError(
-                                    self._stall_report(
-                                        pu, self._stall_exc[pu], now
-                                    )
-                                )
-                            for key in self._stall_probe_stats[
-                                "load" if op.kind == LOAD else "store"
-                            ]:
-                                stats_add(key)
-                            state.defer_mem(now + _STALL_RETRY)
-                            self._schedule_fast(
-                                pu, now + _STALL_RETRY, state
-                            )
-                            continue
-                    try:
-                        if op.kind == LOAD:
-                            result = sys_load(pu, op.addr, op.size, now=now)
-                            end = result.end_cycle
-                        else:
-                            result = sys_store(
-                                pu, op.addr, op.value, op.size, now=now
-                            )
-                            end = now + 1
-                    except ReplacementStall as stall:
-                        self._stall_retries += 1
-                        stall_streak[pu] += 1
-                        if stall_streak[pu] > _WATCHDOG_STALL_STREAK:
-                            raise SimulationError(
-                                self._stall_report(pu, stall, now)
-                            )
-                        # Record the capacity watermark this probe failed
-                        # under; retries under the same watermark are
-                        # fast-forwarded without re-probing (only when the
-                        # system declares its probe accounting contract).
-                        if self._stall_probe_stats is not None:
-                            stall_probe[pu] = (
-                                self._progress_token,
-                                bus.free_at if bus is not None else 0,
-                            )
-                            self._stall_exc[pu] = stall
-                        state.defer_mem(now + _STALL_RETRY)
-                        self._schedule_fast(pu, now + _STALL_RETRY, state)
-                        continue
-                    if stall_streak[pu]:
-                        stall_streak[pu] = 0
-                    executed += 1
-                    if not result.hit:
-                        mshrs.allocate(
-                            line_address(op.addr), state.op_index,
-                            result.end_cycle,
-                        )
-                    # state.complete_mem(now, end), inlined:
-                    state._last_mem_issue = now
-                    state.completions[state.op_index] = end
-                    state.op_index += 1
-                    squashed = result.squashed_ranks
-                    if squashed:
-                        self._violations += 1
-                        self._restart_squashed(squashed, now)
-                    # self._schedule_fast(pu, now, state), inlined:
-                    pending = state.schedule_to_next_mem()
-                    if pending is None:
-                        done = state.done_time()
-                        if done < now:
-                            done = now
-                        self._seq += 1
-                        heappush(
-                            events, (done, self._seq, "done", pu, state.epoch)
-                        )
-                    else:
-                        issue = pending[0]
-                        if issue < now:
-                            issue = now
-                        self._seq += 1
-                        heappush(
-                            events, (issue, self._seq, "mem", pu, state.epoch)
-                        )
-                elif kind == "done":
-                    done_at[state.rank] = now
-                    self._try_commits_impl(now)
-        finally:
-            self._executed_memory_ops += executed
 
     # -- main loop ----------------------------------------------------------------------------
 
@@ -670,29 +505,24 @@ class TimingSimulator:
         for pu in range(self.processor.n_pus):
             self._dispatch(pu, pu)  # sequencer dispatches one task per cycle
         limit = 200 * (sum(len(t.ops) + 4 for t in self.tasks) + 100)
-        if self._telemetry is None and self._fault_injector is None:
-            self._run_loop_plain(limit)
-        else:
-            guard = 0
-            events = self._events
-            states = self._states
-            heappop = heapq.heappop
-            handle_mem = self._handle_mem
-            while events:
-                guard += 1
-                if guard > limit:
-                    raise SimulationError(
-                        "timing simulation exceeded event budget"
-                    )
-                time, _seq, kind, pu, epoch = heappop(events)
-                state = states[pu]
-                if state is None or state.epoch != epoch:
-                    continue  # stale event from a squashed attempt
-                if kind == "mem":
-                    handle_mem(pu, time)
-                elif kind == "done":
-                    self._done_at[state.rank] = time
-                    self._try_commits(time)
+        guard = 0
+        events = self._events
+        states = self._states
+        heappop = heapq.heappop
+        handle_mem = self._handle_mem
+        while events:
+            guard += 1
+            if guard > limit:
+                raise SimulationError("timing simulation exceeded event budget")
+            time, _seq, kind, pu, epoch = heappop(events)
+            state = states[pu]
+            if state is None or state.epoch != epoch:
+                continue  # stale event from a squashed attempt
+            if kind == "mem":
+                handle_mem(pu, time)
+            elif kind == "done":
+                self._done_at[state.rank] = time
+                self._try_commits(time)
         if not all(self._committed):
             raise SimulationError("timing run ended with uncommitted tasks")
         self.system.drain()

@@ -14,6 +14,7 @@ are the fast deterministic anchors.
 import pytest
 
 from conftest import make_svc
+from repro.common.errors import ProtocolError
 from repro.faults import random_fault_plan
 from repro.harness.differential import (
     TIERS,
@@ -65,14 +66,19 @@ def _brute_holders(system, line_addr):
     }
 
 
-@pytest.mark.parametrize("use_directory", [True, False])
-def test_residency_checks_match_brute_force(use_directory):
-    system = begin_all(make_svc("hr", use_directory=use_directory))
+@pytest.mark.parametrize("squash_tail", [False, True])
+def test_residency_checks_match_brute_force(squash_tail):
+    """Shared line, or (after squashing every task but the head) a line
+    left in the head's cache alone, so both answers are seen true."""
+    system = begin_all(make_svc("hr"))
     system.memory.write_int(A, 4, 0x42)
     system.store(1, A, 11)
     system.load(0, A)
+    if squash_tail:
+        system.squash_from_rank(1)
     kernel = system.vcl.fastpath
     line_addr = system.amap.line_address(A)
+    assert (_brute_holders(system, line_addr) == {0}) == squash_tail
     for requestor in range(4):
         holders = _brute_holders(system, line_addr)
         assert kernel.is_sole_holder(line_addr, requestor) == (
@@ -116,6 +122,141 @@ def test_supply_plan_stamps_match_composed_bytes():
         assert stamps == [
             stamp_map.get(b, 0) for b in range(system.amap.blocks_per_line)
         ]
+
+
+# -- persistent columns vs the cache arrays ----------------------------------
+#
+# The snapshot cache is maintained incrementally by the caches' install,
+# drop and flash hooks; :meth:`FastpathKernel.audit` re-derives every
+# cached column from a full snoop. These tests walk each residency
+# mutation path and check both the arrays and the audit, then
+# manufacture a desync behind the hooks' back and require the audit to
+# catch it.
+
+
+def _resident(system, cache_id):
+    return {line_addr for line_addr, _line in system.caches[cache_id].lines()}
+
+
+def _cached_holders(system, addr):
+    line_addr = system.amap.line_address(addr)
+    assert line_addr in system.vcl.fastpath._snaps  # audit is not vacuous
+    return list(system.vcl.fastpath._snaps[line_addr][0])
+
+
+def test_snoop_entries_are_identity_mapped_and_ascending(svc):
+    svc.store(3, A, 1)
+    svc.store(0, A, 2)
+    line_addr = svc.amap.line_address(A)
+    entries = svc.vcl._entries(line_addr)
+    assert list(entries) == [0, 3]
+    for cache_id, line in entries.items():
+        assert svc.caches[cache_id].line_for(line_addr) is line
+    # The snoop hands out a fresh dict: callers (snarf) may mutate it.
+    entries.clear()
+    assert list(svc.vcl._entries(line_addr)) == [0, 3]
+
+
+def test_columns_track_installs(svc):
+    svc.store(0, A, 1)
+    svc.store(1, A, 2)
+    svc.store(2, 0x200, 3)
+    assert _cached_holders(svc, A) == [0, 1]
+    assert _cached_holders(svc, 0x200) == [2]
+    svc.vcl.fastpath.audit()
+
+
+def test_squash_flash_clear_drops_squashed_lines(svc):
+    for cache_id in range(4):
+        svc.store(cache_id, A, cache_id + 1)
+    svc.squash_from_rank(2)
+    line_addr = svc.amap.line_address(A)
+    assert line_addr in _resident(svc, 0) and line_addr in _resident(svc, 1)
+    assert not _resident(svc, 2) and not _resident(svc, 3)
+    svc.vcl.fastpath.audit()
+    # Re-dispatch and keep going: the columns stay consistent.
+    svc.begin_task(2, 2)
+    svc.begin_task(3, 3)
+    svc.store(2, A, 7)
+    svc.vcl.fastpath.audit()
+
+
+def test_columns_follow_commits(svc):
+    svc.store(0, A, 1)
+    svc.store(1, A, 2)
+    svc.load(2, A)
+    svc.commit_head(0)
+    svc.vcl.fastpath.audit()
+    svc.commit_head(1)
+    svc.vcl.fastpath.audit()
+
+
+def test_eager_commit_invalidation_empties_committing_cache():
+    # The base design commits eagerly: flash-invalidating every line in
+    # the committing cache must leave it (and its columns) empty.
+    svc = begin_all(make_svc("base"))
+    svc.store(0, A, 1)
+    svc.store(0, 0x200, 2)
+    svc.load(1, A)
+    svc.commit_head(0)
+    assert not _resident(svc, 0)
+    for _entries, _vol in svc.vcl.fastpath._snaps.values():
+        assert 0 not in _entries
+    svc.vcl.fastpath.audit()
+
+
+def test_columns_follow_vol_repair(svc):
+    svc.store(0, A, 1)
+    svc.store(2, A, 2)
+    svc.squash_from_rank(2)  # leaves a dangling VOL pointer in cache 0
+    svc.begin_task(2, 2)
+    svc.begin_task(3, 3)
+    svc.verify()  # repairs the pointer; must leave the columns exact
+    svc.vcl.fastpath.audit()
+    svc.load(3, A)
+    svc.vcl.fastpath.audit()
+
+
+def _rogue_line():
+    from repro.svc.line import SVCLine
+
+    line = SVCLine(data=bytearray(16), valid_mask=0b1111)
+    line.ensure_block_stamps(4)
+    return line
+
+
+def test_column_audit_catches_smuggled_line(svc):
+    svc.store(0, A, 1)
+    assert _cached_holders(svc, A) == [0]
+    svc.caches[1].array.insert(svc.amap.line_address(A), _rogue_line())
+    with pytest.raises(ProtocolError):
+        svc.vcl.fastpath.audit()
+
+
+def test_column_audit_catches_stale_entry(svc):
+    svc.store(0, A, 1)
+    assert _cached_holders(svc, A) == [0]
+    svc.caches[0].array.remove(svc.amap.line_address(A))  # behind the hooks
+    with pytest.raises(ProtocolError):
+        svc.vcl.fastpath.audit()
+
+
+def test_column_audit_catches_identity_mismatch(svc):
+    svc.store(0, A, 1)
+    line_addr = svc.amap.line_address(A)
+    assert _cached_holders(svc, A) == [0]
+    svc.caches[0].array.remove(line_addr)
+    svc.caches[0].array.insert(line_addr, _rogue_line())  # same slot, new object
+    with pytest.raises(ProtocolError):
+        svc.vcl.fastpath.audit()
+
+
+def test_verify_runs_column_audit(svc):
+    """system.verify() must surface a column desync, not mask it."""
+    svc.store(0, A, 1)
+    svc.caches[0].array.remove(svc.amap.line_address(A))
+    with pytest.raises(ProtocolError, match="fastpath column"):
+        svc.verify()
 
 
 # -- stamp-mismatch fallback (invariant 3's escape hatch) --------------------
