@@ -1,10 +1,15 @@
 """The bounded exhaustive DFS over scheduler choices.
 
 One exploration = one (design, program) pair. The tree's nodes are
-schedule prefixes; an edge is one enabled action. The systems expose no
-snapshot/undo, so each node is reached by replaying its prefix from a
-fresh system — O(depth) work per node, which the two prunings repay
-many times over:
+schedule prefixes; an edge is one enabled action. The live
+``(system, executor)`` pair is carried down the DFS: the root builds
+one system, and each child applies exactly one action — its incoming
+one, with the invariant checker bound — to a state it owns. The last
+child a node explores takes the node's own state; each earlier child
+restores a :class:`Snapshot` of it, a pickle round trip taken once per
+node. A node therefore costs one action plus at most one restore
+(about 0.2-0.5 ms for a litmus-sized system) instead of a replay of
+its whole prefix. Two prunings keep the tree small:
 
 * **sleep sets** (Godefroid's partial-order reduction): after exploring
   action ``a`` at a node, sibling subtrees need not re-explore ``b`` in
@@ -31,10 +36,16 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.common.errors import InvariantViolation, ProtocolError, SimulationError
+from repro.common.errors import (
+    ConfigError,
+    InvariantViolation,
+    ProtocolError,
+    SimulationError,
+)
 from repro.hier.task import OpKind
 from repro.modelcheck.executor import Action, ScheduleExecutor
 from repro.modelcheck.fingerprint import fingerprint
+from repro.modelcheck.snapshot import Snapshot
 from repro.oracle.sequential import SequentialOracle, verify_run
 from repro.replay import Case, CaseResult, build_system, run_case
 
@@ -89,13 +100,6 @@ class _Explorer:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _replay(self, script: List[Action]):
-        system = build_system(self.case)
-        executor = ScheduleExecutor(system, self.case.tasks)
-        for action in script:
-            executor.apply(action)
-        return system, executor
-
     def _record_counterexample(self, script: List[Action]) -> None:
         failing = dataclasses.replace(self.case, script=tuple(script))
         result = run_case(failing)
@@ -129,13 +133,23 @@ class _Explorer:
 
     # -- the DFS ------------------------------------------------------------
 
-    def _visit(self, script: List[Action], sleep: FrozenSet[Action]) -> None:
+    def _visit(
+        self, state, script: List[Action], sleep: FrozenSet[Action]
+    ) -> None:
+        """Explore the node ``script`` reaches. ``state`` is the parent
+        node's ``(system, executor)``, owned by this call (``None`` at
+        the root); the node applies its incoming action to it."""
         self.result.nodes += 1
         if self.result.nodes > self.max_nodes:
             self.result.truncated = True
             raise _StopExploration()
         try:
-            system, executor = self._replay(script)
+            if state is None:
+                system = build_system(self.case)
+                executor = ScheduleExecutor(system, self.case.tasks)
+            else:
+                system, executor = state
+                executor.apply(script[-1])
         except (InvariantViolation, SimulationError, ProtocolError):
             self._record_counterexample(script)
             return
@@ -174,8 +188,16 @@ class _Explorer:
             return
         self.seen.setdefault(fp, []).append(sleep)
 
+        enabled = executor.enabled()
+        # The last child to explore continues on this node's own state;
+        # each earlier one restores a copy of a snapshot taken first.
+        last = max(
+            (i for i, action in enumerate(enabled) if action not in sleep),
+            default=-1,
+        )
+        frozen: Optional[Snapshot] = None
         explored: List[Action] = []
-        for action in executor.enabled():
+        for i, action in enumerate(enabled):
             if action in sleep:
                 self.result.sleep_pruned += 1
                 explored.append(action)
@@ -185,12 +207,18 @@ class _Explorer:
                 for b in set(sleep) | set(explored)
                 if self._independent(executor, system, action, b)
             )
-            self._visit(script + [action], child_sleep)
+            if i == last:
+                child = (system, executor)
+            else:
+                if frozen is None:
+                    frozen = Snapshot(system, executor)
+                child = frozen.restore()
+            self._visit(child, script + [action], child_sleep)
             explored.append(action)
 
     def run(self) -> ExplorationResult:
         try:
-            self._visit([], frozenset())
+            self._visit(None, [], frozenset())
         except _StopExploration:
             pass
         return self.result
@@ -209,8 +237,12 @@ def explore_case(
     explorer generates the scripts). Exploration stops early after
     ``max_counterexamples`` failures, ``max_nodes`` visited prefixes, or
     when a schedule exceeds ``max_depth`` actions (both caps mark the
-    result ``truncated`` so exhaustiveness claims stay honest).
+    result ``truncated`` so exhaustiveness claims stay honest). A budget
+    below one is a :class:`~repro.common.errors.ConfigError`.
     """
+    for name, value in (("max_nodes", max_nodes), ("max_depth", max_depth)):
+        if value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     if case.fault_plan is not None and not case.fault_plan.is_noop:
         raise SimulationError("model checking does not compose with fault plans")
     template = dataclasses.replace(case, script=None, squash_probability=0.0)

@@ -332,16 +332,20 @@ def modelcheck_main(argv: Optional[List[str]] = None) -> int:
         pus=args.pus, ops=args.ops, lines=args.lines, tasks=args.tasks
     )
     designs = args.designs.split(",") if args.designs else None
-    report = run_modelcheck(
-        bounds,
-        designs=designs,
-        workers=args.workers,
-        mutation=args.mutation,
-        captures_dir=args.captures_dir,
-        max_nodes=args.max_nodes,
-        max_programs=args.max_programs,
-        log=print,
-    )
+    try:
+        report = run_modelcheck(
+            bounds,
+            designs=designs,
+            workers=args.workers,
+            mutation=args.mutation,
+            captures_dir=args.captures_dir,
+            max_nodes=args.max_nodes,
+            max_programs=args.max_programs,
+            log=print,
+        )
+    except ConfigError as error:
+        print(f"config error: {error}")
+        return 2
     print(report.describe())
     if args.mutation is not None:
         found = sum(s.counterexamples for s in report.per_design.values())

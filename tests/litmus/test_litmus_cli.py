@@ -51,3 +51,10 @@ def test_truncation_is_run_failure(capsys):
     out = capsys.readouterr().out
     assert "RESULT: FAIL" in out
     assert "truncated" in out
+
+
+def test_non_positive_node_budget_is_usage_error(capsys):
+    assert litmus_main(["corr", "--tier", "base", "--max-nodes", "-5"]) == 2
+    out = capsys.readouterr().out
+    assert "config error: max_nodes must be at least 1" in out
+    assert "RESULT" not in out
